@@ -3,40 +3,32 @@
 //! associativity × line size) without re-decoding, let alone
 //! re-simulating, per cell.
 //!
-//! The paper's headline figure is a cache design-space exploration, but
-//! reproducing even one cell used to cost a full replay. Every grid
-//! cell consumes the *same* decoded stream, so the sweep amortizes
-//! everything that doesn't depend on a cell's private L1/L2 state:
-//! [`FanoutSink`] rides the standard batched sink path, decodes once,
-//! runs the walk's shared front half (line splitting, TLB simulation,
-//! stat-row bookkeeping — see [`agave_cache::PlanBuilder`]) once per
-//! line-size group, and hands each cell only its private probe replay
-//! ([`MemoryHierarchy::apply_plan`]), sharding the cells across
-//! [`parallel_map`] workers.
+//! Every grid cell consumes the *same* decoded stream, and the model
+//! is exact LRU, so [`FanoutSink`] decodes once and scans the L1s once
+//! per L1 *shape* (line size × set count): one set of LRU stacks gives
+//! every associativity's hit or miss (see `agave_cache`'s stack module
+//! and DESIGN.md §15). Each cell keeps only its L2 and its counters.
 //!
 //! # Determinism
 //!
-//! Output is independent of `--jobs`: parallelism is *across cells*,
-//! never within one. Each hierarchy is touched by at most one worker
-//! per batch (a `Mutex` per cell makes that explicit), processes the
-//! batches in stream order because `on_batch` calls are serial, and
-//! never observes another cell's state. Results are merged in grid
-//! order (size-major, then associativity, then line). Every cell's
-//! report is additionally byte-identical to a standalone
-//! `agave replay --cache <cell-name>` run: the cell's canonical name
-//! round-trips through [`HierarchyGeometry::by_name`] to the identical
-//! geometry, and a hierarchy only ever sees the stream, which is the
-//! same stream. `tests/sweep_determinism.rs` asserts all of this.
+//! Output is independent of `--jobs`: parallelism is *across shapes*,
+//! never within one, and each shape sees the batches in stream order.
+//! Results are merged in grid order (size-major, then associativity,
+//! then line). Every cell's report is byte-identical to a standalone
+//! `agave replay --cache <cell-name>` run: the cell's name round-trips
+//! through [`HierarchyGeometry::by_name`], and the stack scan makes the
+//! direct walk's hit and miss decisions. `tests/sweep_determinism.rs`
+//! asserts all of this.
 
 use agave_cache::{
-    format_size, BatchPlan, CacheReport, HierarchyGeometry, Level, MemoryHierarchy, PlanBuilder,
+    format_size, CacheReport, GeometryError, HierarchyGeometry, Level, SweepFront, SweepShape,
+    MODEL_BUDGET_BYTES,
 };
 use agave_replay::TraceBuffer;
 use agave_trace::json;
-use agave_trace::par::{effective_jobs, parallel_map};
+use agave_trace::par::{effective_jobs, parallel_for_each_mut};
 use agave_trace::{NameDirectory, Reference, ReferenceSink};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// The axes of a sweep: every combination of L1 capacity ×
 /// associativity × line size becomes one grid cell.
@@ -127,18 +119,26 @@ impl GridSpec {
 
     /// Every cell's geometry in grid order (size-major, then
     /// associativity, then line). Fails on the first invalid
-    /// combination, naming it.
+    /// combination, naming it, and once the cells together would model
+    /// more than [`MODEL_BUDGET_BYTES`] — which also caps the cell count.
     pub fn cells(&self) -> Result<Vec<HierarchyGeometry>, String> {
-        let mut out = Vec::with_capacity(self.len());
+        let mut out = Vec::new();
+        let mut bytes = 0u64;
         for &size in &self.sizes {
             for &assoc in &self.assocs {
                 for &line in &self.lines {
-                    out.push(HierarchyGeometry::with_l1(size, assoc, line).map_err(|e| {
+                    let cell = HierarchyGeometry::with_l1(size, assoc, line).map_err(|e| {
                         format!(
                             "cell size={},assoc={assoc},line={line}: {e}",
                             format_size(size)
                         )
-                    })?);
+                    })?;
+                    bytes = bytes.saturating_add(cell.model_bytes());
+                    if bytes > MODEL_BUDGET_BYTES {
+                        let what = format!("grid {self} ({} cells)", self.len());
+                        return Err(GeometryError::OverBudget { what, bytes }.to_string());
+                    }
+                    out.push(cell);
                 }
             }
         }
@@ -152,69 +152,62 @@ impl std::fmt::Display for GridSpec {
     }
 }
 
-/// A [`ReferenceSink`] that feeds every decoded batch to N private
-/// hierarchies, sharded across up to `jobs` workers.
-///
-/// Beyond sharing the decode, the fan-out shares the walk's front half:
-/// cells are grouped by [`HierarchyGeometry::plan_signature`] (line
-/// sizes + TLB shapes — for an L1 sweep grid, one group per line size),
-/// and each group's [`PlanBuilder`] runs line splitting, TLB simulation
-/// and stat-row bookkeeping exactly once per batch. Cells then replay
-/// only their private L1/L2 probes via
-/// [`MemoryHierarchy::apply_plan`], which `crates/cache`'s
-/// `apply_plan_matches_direct_walk_for_shared_signature` property test
-/// pins byte-identical to the direct walk.
-///
-/// Each cell sits behind its own `Mutex` — uncontended, because
-/// [`parallel_map`] gives each index to exactly one worker — so the
-/// fan-out closure stays `Fn` while each hierarchy is mutated serially.
+/// A [`ReferenceSink`] that feeds every decoded batch to N grid cells:
+/// one walk per [`SweepFront`] (cells with equal line sizes and TLBs),
+/// then one stack scan per [`SweepShape`] (a front's cells with equal
+/// L1 set counts), the shapes sharded across up to `jobs` workers.
 pub struct FanoutSink {
-    cells: Vec<Mutex<MemoryHierarchy>>,
-    /// One shared walk per plan signature, with the member `cells`
-    /// index mapping in `group_of`.
-    planners: Vec<PlanBuilder>,
-    group_of: Vec<usize>,
+    fronts: Vec<SweepFront>,
+    /// Every shape with the index of the front that feeds it.
+    shapes: Vec<(usize, SweepShape)>,
+    /// Grid cell `i` is cell `cell_at[i].1` of shape `cell_at[i].0`.
+    cell_at: Vec<(usize, usize)>,
     jobs: usize,
+    /// L2 probes already counted in `sweep.l2_probes`.
+    l2_probes_seen: u64,
 }
 
 impl FanoutSink {
     /// A fan-out over fresh hierarchies of the given geometries.
     pub fn new(geometries: &[HierarchyGeometry], jobs: usize) -> Self {
-        let mut planners = Vec::new();
-        let mut signatures = Vec::new();
-        let group_of = geometries
+        let mut fronts: Vec<SweepFront> = Vec::new();
+        let mut groups: Vec<(usize, Vec<HierarchyGeometry>)> = Vec::new();
+        let cell_at = geometries
             .iter()
             .map(|g| {
-                let sig = g.plan_signature();
-                signatures
-                    .iter()
-                    .position(|&s| s == sig)
-                    .unwrap_or_else(|| {
-                        signatures.push(sig);
-                        planners.push(PlanBuilder::new(*g));
-                        planners.len() - 1
-                    })
+                let front = fronts.iter().position(|f| f.serves(g)).unwrap_or_else(|| {
+                    fronts.push(SweepFront::new(*g));
+                    fronts.len() - 1
+                });
+                let sets = |g: &HierarchyGeometry| (g.l1i.sets, g.l1d.sets);
+                let same = |(f, cells): &(usize, Vec<_>)| *f == front && sets(&cells[0]) == sets(g);
+                let shape = groups.iter().position(same).unwrap_or_else(|| {
+                    groups.push((front, Vec::new()));
+                    groups.len() - 1
+                });
+                groups[shape].1.push(*g);
+                (shape, groups[shape].1.len() - 1)
             })
             .collect();
         FanoutSink {
-            cells: geometries
+            fronts,
+            shapes: groups
                 .iter()
-                .map(|&g| Mutex::new(MemoryHierarchy::new(g)))
+                .map(|(f, cells)| (*f, SweepShape::new(cells)))
                 .collect(),
-            planners,
-            group_of,
+            cell_at,
             jobs,
+            l2_probes_seen: 0,
         }
     }
 
     /// Per-cell reports, in construction (grid) order.
     pub fn reports(&self, label: &str, directory: &NameDirectory) -> Vec<CacheReport> {
-        self.cells
+        self.cell_at
             .iter()
-            .map(|cell| {
-                cell.lock()
-                    .expect("sweep cell poisoned")
-                    .report(label, directory)
+            .map(|&(shape, cell)| {
+                let (front, shape) = &self.shapes[shape];
+                shape.report(cell, &self.fronts[*front], label, directory)
             })
             .collect()
     }
@@ -226,20 +219,21 @@ impl ReferenceSink for FanoutSink {
     }
 
     fn on_batch(&mut self, batch: &[Reference]) {
-        if agave_telemetry::enabled() {
-            agave_telemetry::metrics::counter("sweep.batches").incr();
-        }
-        let plans: Vec<&BatchPlan> = self
-            .planners
-            .iter_mut()
-            .map(|planner| planner.plan(batch))
-            .collect();
-        let cells = &self.cells;
-        let group_of = &self.group_of;
-        parallel_map(cells.len(), self.jobs, |i| {
-            let mut hierarchy = cells[i].lock().expect("sweep cell poisoned");
-            hierarchy.apply_plan(plans[group_of[i]]);
+        parallel_for_each_mut(&mut self.fronts, self.jobs, |front| front.walk(batch));
+        let fronts = &self.fronts;
+        parallel_for_each_mut(&mut self.shapes, self.jobs, |(front, shape)| {
+            shape.apply(&fronts[*front]);
         });
+        if agave_telemetry::enabled() {
+            use agave_telemetry::metrics::{counter, gauge};
+            let stack_probes = self.shapes.iter().map(|(f, _)| fronts[*f].probes());
+            let l2_probes: u64 = self.shapes.iter().map(|(_, s)| s.l2_probes()).sum();
+            let seen = std::mem::replace(&mut self.l2_probes_seen, l2_probes);
+            counter("sweep.batches").incr();
+            gauge("sweep.shapes").set(self.shapes.len() as u64);
+            counter("sweep.stack_probes").add(stack_probes.sum::<usize>() as u64);
+            counter("sweep.l2_probes").add(l2_probes - seen);
+        }
     }
 }
 
@@ -425,7 +419,7 @@ impl SweepReport {
 
 /// Runs the sweep: decodes the trace at `path` once and replays it
 /// through one hierarchy per grid cell. `jobs` bounds both halves of
-/// the pipeline — the chunk decode workers and the per-batch cell
+/// the pipeline — the chunk decode workers and the per-batch shape
 /// fan-out (0 = one per CPU; output is identical for any `jobs`).
 pub fn sweep_path(path: &Path, grid: &GridSpec, jobs: usize) -> Result<SweepReport, String> {
     let geometries = grid.cells()?;
@@ -444,20 +438,16 @@ pub fn sweep_path(path: &Path, grid: &GridSpec, jobs: usize) -> Result<SweepRepo
         .map_err(|e| e.to_string())?;
     span.set_refs(outcome.words);
     let reports = fanout.borrow().reports(&outcome.label, &outcome.directory);
-    let mut cells = Vec::with_capacity(reports.len());
-    let mut reports = reports.into_iter();
-    for &size in &grid.sizes {
-        for &assoc in &grid.assocs {
-            for &line in &grid.lines {
-                cells.push(SweepCell {
-                    size,
-                    assoc,
-                    line,
-                    report: reports.next().expect("one report per cell"),
-                });
-            }
-        }
-    }
+    let cells = geometries
+        .iter()
+        .zip(reports)
+        .map(|(g, report)| SweepCell {
+            size: g.l1i.capacity_bytes(),
+            assoc: g.l1i.ways,
+            line: g.l1i.line_bytes,
+            report,
+        })
+        .collect();
     Ok(SweepReport {
         label: outcome.label,
         grid: grid.canonical(),
@@ -508,6 +498,20 @@ mod tests {
         let grid = GridSpec::parse("size=24k:assoc=2:line=32").unwrap();
         let err = grid.cells().unwrap_err();
         assert!(err.contains("size=24k,assoc=2,line=32"), "{err}");
+        // Valid cells, but over the model budget: one huge cell, and many
+        // small ones (each carries a cortex-a9 L2, so the cell count is
+        // capped too). The benchmark and bench grids fit easily.
+        let many = format!("size={}:assoc=1:line=32", ["8k"; 300].join(","));
+        for over in ["size=4096m:assoc=1:line=4", many.as_str()] {
+            let err = GridSpec::parse(over).unwrap().cells().unwrap_err();
+            assert!(err.contains("MODEL_BUDGET_BYTES"), "{err}");
+        }
+        for ok in [
+            "size=8k,64k:assoc=1,8:line=32,64",
+            "size=32k:assoc=16:line=16,128",
+        ] {
+            assert!(GridSpec::parse(ok).unwrap().cells().is_ok(), "{ok}");
+        }
     }
 
     #[test]
@@ -525,15 +529,76 @@ mod tests {
         );
     }
 
+    /// The sweep against direct walks on a random batched stream: cells
+    /// sharing a line size with different sets and ways (direct-mapped,
+    /// fully associative, a private L2) report every counter and row
+    /// exactly as a `MemoryHierarchy` does.
+    #[test]
+    fn stack_sweep_matches_direct_walk_for_shared_line_size() {
+        use agave_cache::MemoryHierarchy;
+        use agave_trace::{RefKind, Tracer, XorShift64};
+        let cell = |sets, ways, l2_sets| {
+            let mut g = HierarchyGeometry::tiny();
+            (g.l1i.sets, g.l1i.ways, g.l2.sets) = (sets, ways, l2_sets);
+            g.l1d = g.l1i;
+            g
+        };
+        // Tiny, a direct-mapped and a private-L2 cell share one shape;
+        // one cell is fully associative.
+        let shapes = [
+            (32, 2, 128),
+            (32, 1, 128),
+            (32, 8, 64),
+            (1, 64, 128),
+            (8, 4, 128),
+        ];
+        let cells = shapes.map(|(sets, ways, l2_sets)| cell(sets, ways, l2_sets));
+        let mut t = Tracer::new();
+        let pids = [t.register_process("p"), t.register_process("q")];
+        let tid = t.register_thread(pids[0], "t");
+        let regions = ["a", "b", "c"].map(|name| t.intern_region(name));
+        let kinds = [RefKind::InstrFetch, RefKind::DataRead, RefKind::DataWrite];
+        let mut rng = XorShift64::new(0xF00D);
+        let stream: Vec<Reference> = (0..6000u64)
+            .map(|i| Reference {
+                pid: pids[(i / 7 % 2) as usize],
+                tid,
+                region: regions[(i / 3 % 3) as usize],
+                kind: kinds[rng.below(3) as usize],
+                // Same-line runs (memo path), multi-line blocks and
+                // page-crossing jumps; word-aligned like the simulator.
+                addr: match rng.below(8) {
+                    0 => rng.next_u64() >> 20,
+                    1..=3 => 0x1000 + rng.below(64),
+                    _ => 0x4_0000 + rng.below(16 * 1024),
+                } & !3,
+                words: rng.below(40),
+            })
+            .collect();
+        let mut sweep = FanoutSink::new(&cells, 3);
+        let mut direct: Vec<_> = cells.iter().map(|&g| MemoryHierarchy::new(g)).collect();
+        for batch in stream.chunks(256) {
+            sweep.on_batch(batch);
+            direct.iter_mut().for_each(|h| h.on_batch(batch));
+        }
+        let dir = t.name_directory();
+        for (swept, h) in sweep.reports("x", &dir).iter().zip(&direct) {
+            assert_eq!(*swept, h.report("x", &dir));
+        }
+    }
+
+    /// Shapes shared by cells of different ways, direct-mapped cells,
+    /// 16 ways, two line sizes and a fully-associative cell
+    /// (`size=1k,assoc=16,line=64`).
     #[test]
     fn sweep_cells_match_standalone_replays_for_any_jobs() {
         let path = fixture::record("sweep-unit");
-        let grid = GridSpec::parse("size=1k,2k:assoc=2:line=16").unwrap();
+        let grid = GridSpec::parse("size=1k,4k:assoc=1,4,16:line=16,64").unwrap();
         let serial = sweep_path(&path, &grid, 1).unwrap();
-        let parallel = sweep_path(&path, &grid, 4).unwrap();
+        let parallel = sweep_path(&path, &grid, 3).unwrap();
         assert_eq!(serial, parallel, "sweep output must be jobs-independent");
         assert_eq!(serial.to_json(), parallel.to_json());
-        assert_eq!(serial.cells.len(), 2);
+        assert_eq!(serial.cells.len(), 12);
         for cell in &serial.cells {
             let standalone = sweep_cell_standalone(&path, cell.name()).unwrap();
             assert_eq!(cell.report, standalone);

@@ -3,18 +3,17 @@
 //! for CI artifact upload.
 //!
 //! The sweep engine amortizes everything that is not per-cell cache
-//! state: the `.agtrace` decode runs once (vs 64 times), and the walk's
-//! shared front half — line splitting, TLB simulation, stat-row
-//! bookkeeping — runs once per line-size group (vs once per cell),
-//! while each cell replays only its private L1/L2 probes
-//! (`MemoryHierarchy::apply_plan`). Those probes are ~75% of a replay
-//! and scale with cell count, so the serial amortization ratio is
-//! modest by construction; the fan-out shards exactly that probe work
-//! across `parallel_map` workers, which is where the ISSUE 7 headline
-//! (≥3x over 64 sequential `replay --cache` runs at N=64) comes from.
-//! The gate is therefore enforced when the host can shard (≥4 CPUs,
-//! e.g. CI runners); on narrower hosts the measured ratios are still
-//! reported in `BENCH_sweep.json`, and the sweep must always win.
+//! state. The `.agtrace` decode runs once (vs 64 times). Line
+//! splitting, TLB simulation and stat-row bookkeeping run once per line
+//! size (`SweepFront`). The L1s run once per L1 shape — line size × set
+//! count — as an LRU stack-distance scan that decides hit or miss for
+//! every associativity of the shape at once (`SweepShape`); this grid's
+//! 64 cells fall into 28 shapes. Each cell privately replays only its
+//! own L1 misses through its L2. The fan-out shards the shapes across
+//! workers, so the ≥3x gate over 64 sequential `replay --cache` runs is
+//! enforced when the host can shard (≥4 CPUs, e.g. CI runners); on
+//! narrower hosts the measured ratios are still reported in
+//! `BENCH_sweep.json`, and the sweep must always win.
 
 use agave_bench::{fingerprint, Group, HotpathReport};
 use agave_core::{record, sweep_path, AppId, GridSpec, HierarchyGeometry, SuiteConfig, Workload};
@@ -104,6 +103,6 @@ fn main() {
              64 sequential replays, got {speedup:.2}x"
         );
     } else {
-        println!("note: {jobs} CPU(s) — probe sharding unavailable, 3x gate not applicable");
+        println!("note: {jobs} CPU(s) — shape sharding unavailable, 3x gate not applicable");
     }
 }

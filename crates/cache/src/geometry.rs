@@ -16,6 +16,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
+/// The most model state, in bytes ([`HierarchyGeometry::model_bytes`]),
+/// one geometry name or sweep grid from the CLI or the wire may ask for.
+pub const MODEL_BUDGET_BYTES: u64 = 64 << 20;
+
 /// Geometry of one set-associative cache level.
 ///
 /// All three parameters must be powers of two so set index and tag are
@@ -232,15 +236,22 @@ impl HierarchyGeometry {
             ways: assoc,
             line_bytes,
         };
-        let base = Self::cortex_a9();
-        Ok(HierarchyGeometry {
-            name: intern_name(&format!(
-                "size={},assoc={assoc},line={line_bytes}",
-                format_size(l1_bytes)
-            )),
+        let name = format!(
+            "size={},assoc={assoc},line={line_bytes}",
+            format_size(l1_bytes)
+        );
+        let cell = HierarchyGeometry {
             l1i: l1,
             l1d: l1,
-            ..base
+            ..Self::cortex_a9()
+        };
+        let bytes = cell.model_bytes();
+        if bytes > MODEL_BUDGET_BYTES {
+            return Err(GeometryError::OverBudget { what: name, bytes });
+        }
+        Ok(HierarchyGeometry {
+            name: intern_name(&name),
+            ..cell
         })
     }
 
@@ -295,20 +306,16 @@ impl HierarchyGeometry {
         assert!(self.dtlb.page_bytes.is_power_of_two());
     }
 
-    /// The parts of the geometry a shared [`crate::BatchPlan`] walk
-    /// depends on: line sizes (L1s and L2) and TLB shapes. Hierarchies
-    /// with equal signatures — e.g. sweep cells differing only in L1
-    /// capacity and associativity — walk the reference stream
-    /// identically outside their private L1/L2 probes, so one
-    /// [`crate::PlanBuilder`] can front all of them.
-    pub fn plan_signature(&self) -> (u32, u32, u32, TlbGeometry, TlbGeometry) {
-        (
-            self.l1i.line_bytes,
-            self.l1d.line_bytes,
-            self.l2.line_bytes,
-            self.itlb,
-            self.dtlb,
-        )
+    /// Bytes of model state a hierarchy of this geometry allocates: a
+    /// line number and a recency stamp per way, and a hint per set.
+    pub fn model_bytes(&self) -> u64 {
+        let tlbs = [self.itlb, self.dtlb].map(|t| (1, t.entries));
+        let caches = [self.l1i, self.l1d, self.l2].map(|c| (c.sets, c.ways));
+        caches
+            .into_iter()
+            .chain(tlbs)
+            .map(|(sets, ways)| u64::from(sets).saturating_mul(u64::from(ways) * 16 + 8))
+            .fold(0, u64::saturating_add)
     }
 }
 
@@ -322,6 +329,14 @@ pub enum GeometryError {
     },
     /// The name looked like a cell spec but did not parse or validate.
     BadSpec(String),
+    /// The geometry (or sweep grid) is valid but would model more state
+    /// than [`MODEL_BUDGET_BYTES`] allows.
+    OverBudget {
+        /// The rejected geometry or grid.
+        what: String,
+        /// Model state it asked for, in bytes.
+        bytes: u64,
+    },
 }
 
 impl GeometryError {
@@ -343,6 +358,12 @@ impl fmt::Display for GeometryError {
             GeometryError::BadSpec(what) => write!(
                 f,
                 "bad geometry spec: {what} (format: size=16k,assoc=2,line=32)"
+            ),
+            GeometryError::OverBudget { what, bytes } => write!(
+                f,
+                "{what} would model {bytes} bytes of cache state, over the {} \
+                 model budget (MODEL_BUDGET_BYTES = {MODEL_BUDGET_BYTES})",
+                format_size(MODEL_BUDGET_BYTES)
             ),
         }
     }
@@ -479,6 +500,13 @@ mod tests {
                 ),
                 "{bad} should be rejected"
             );
+        }
+        // Valid, but over the model budget; every preset stays inside it.
+        let err = HierarchyGeometry::by_name("size=4096m,assoc=1,line=4").unwrap_err();
+        assert!(matches!(err, GeometryError::OverBudget { .. }), "{err:?}");
+        assert!(err.to_string().contains("MODEL_BUDGET_BYTES"), "{err}");
+        for name in HierarchyGeometry::PRESET_NAMES {
+            assert!(HierarchyGeometry::by_name(name).unwrap().model_bytes() < MODEL_BUDGET_BYTES);
         }
     }
 

@@ -4,14 +4,13 @@
 
 use crate::geometry::HierarchyGeometry;
 use crate::model::SetAssocCache;
-use crate::report::{CacheReport, LevelStats, RegionRow};
+use crate::report::{CacheReport, LevelStats};
 use agave_trace::{NameDirectory, NameId, Pid, Reference, ReferenceSink};
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 
 /// Sentinel for "no page touched yet" — unreachable as a real page
 /// number since pages are addresses shifted right by the page bits.
-const NO_PAGE: u64 = u64::MAX;
+pub(crate) const NO_PAGE: u64 = u64::MAX;
 
 /// A level of the modeled hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -129,331 +128,19 @@ impl MemoryHierarchy {
         idx
     }
 
-    /// The configured geometry.
-    pub fn geometry(&self) -> HierarchyGeometry {
-        self.geometry
-    }
-
     /// Suite-wide hit/miss totals for one level.
     pub fn totals(&self, level: Level) -> LevelStats {
         self.totals[level.index()]
     }
 
-    /// Distinct (process, region) pairs that issued references.
-    pub fn tracked_pairs(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// Builds the post-run report, resolving ids through `dir`.
-    ///
-    /// Rows are aggregated per region name (processes summed), sorted by
-    /// total L1 accesses descending; per-process totals ride along.
+    /// Builds the post-run report, resolving ids through `dir` (see
+    /// [`CacheReport`] for row aggregation and order).
     pub fn report(&self, benchmark: &str, dir: &NameDirectory) -> CacheReport {
-        let mut by_region: BTreeMap<String, [LevelStats; 5]> = BTreeMap::new();
-        let mut by_process: BTreeMap<String, [LevelStats; 5]> = BTreeMap::new();
-        for (&(pid, region), &row) in &self.stats {
-            let stats = &self.stat_rows[row];
-            let region_name = dir.region(region).to_owned();
-            let proc_name = dir.process(pid).to_owned();
-            for (level, s) in Level::ALL.iter().zip(stats) {
-                by_region.entry(region_name.clone()).or_default()[level.index()].absorb(*s);
-                by_process.entry(proc_name.clone()).or_default()[level.index()].absorb(*s);
-            }
-        }
-        let mut regions: Vec<RegionRow> = by_region
-            .into_iter()
-            .map(|(name, levels)| RegionRow { name, levels })
-            .collect();
-        regions.sort_by(|a, b| {
-            b.l1_accesses()
-                .cmp(&a.l1_accesses())
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        let mut processes: Vec<RegionRow> = by_process
-            .into_iter()
-            .map(|(name, levels)| RegionRow { name, levels })
-            .collect();
-        processes.sort_by(|a, b| {
-            b.l1_accesses()
-                .cmp(&a.l1_accesses())
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        CacheReport {
-            benchmark: benchmark.to_owned(),
-            preset: self.geometry.name.to_owned(),
-            totals: self.totals,
-            regions,
-            processes,
-        }
-    }
-}
-
-/// One planned L1-line probe (the non-memo walk path).
-#[derive(Debug, Clone, Copy)]
-struct PlanOp {
-    l1_line: u64,
-    /// L2 line of the first byte this op touches — what
-    /// `on_reference`'s `self.l2.access(addr)` would probe on a miss.
-    l2_line: u64,
-    words: u64,
-}
-
-/// One non-memo block: the row its probe outcomes charge and its ops.
-#[derive(Debug, Clone, Copy)]
-struct PlanWalk {
-    row: u32,
-    instr: bool,
-    ops_start: u32,
-    ops_len: u32,
-}
-
-/// A cell-independent counter increment, `(row, level) += (hits, misses)`.
-#[derive(Debug, Clone, Copy)]
-struct PlanAdd {
-    row: u32,
-    level: u8,
-    hits: u64,
-    misses: u64,
-}
-
-/// The shareable part of one batch's hierarchy walk.
-///
-/// Everything in [`MemoryHierarchy::on_reference`] except the L1 and L2
-/// probes depends only on the reference stream and the geometry's
-/// [`plan signature`](HierarchyGeometry::plan_signature) — line
-/// splitting, TLB hit/miss accounting, the same-line memo decision, and
-/// stat-row allocation are identical for every L1 size × associativity
-/// at a fixed line size. A sweep therefore runs [`PlanBuilder`] once
-/// per signature and each grid cell replays only its private probes via
-/// [`MemoryHierarchy::apply_plan`], producing counters byte-identical
-/// to a standalone walk of the same stream.
-#[derive(Debug, Default)]
-pub struct BatchPlan {
-    /// `(pid, region)` pairs first seen in this batch, in allocation
-    /// order; their row indices continue from `rows_before`.
-    new_pairs: Vec<(Pid, NameId)>,
-    rows_before: usize,
-    /// TLB counts and memo-path L1 hits — identical for every cell.
-    adds: Vec<PlanAdd>,
-    walks: Vec<PlanWalk>,
-    ops: Vec<PlanOp>,
-}
-
-impl BatchPlan {
-    /// Appends a cell-independent increment, coalescing with the last
-    /// entry when it targets the same `(row, level)` (streams charge
-    /// long same-row runs, so this keeps `adds` tiny).
-    fn add(&mut self, row: u32, level: Level, hits: u64, misses: u64) {
-        let level = level.index() as u8;
-        if let Some(last) = self.adds.last_mut() {
-            if last.row == row && last.level == level {
-                last.hits += hits;
-                last.misses += misses;
-                return;
-            }
-        }
-        self.adds.push(PlanAdd {
-            row,
-            level,
-            hits,
-            misses,
-        });
-    }
-}
-
-/// The shared front half of a fan-out sweep's hierarchy walk — see
-/// [`BatchPlan`]. Owns the TLB models, memos and stat-row directory that
-/// `on_reference` would otherwise run per cell, and replays the stream
-/// through them exactly once per batch.
-#[derive(Debug)]
-pub struct PlanBuilder {
-    itlb: SetAssocCache,
-    dtlb: SetAssocCache,
-    l1i_shift: u32,
-    l1d_shift: u32,
-    l2_shift: u32,
-    last_line: [Option<u64>; 2],
-    last_page: [u64; 2],
-    stats: HashMap<(Pid, NameId), usize>,
-    rows: usize,
-    last_stat: Option<(Pid, NameId, usize)>,
-    plan: BatchPlan,
-}
-
-impl PlanBuilder {
-    /// A cold plan builder for hierarchies sharing `geometry`'s
-    /// [`plan signature`](HierarchyGeometry::plan_signature).
-    pub fn new(geometry: HierarchyGeometry) -> Self {
-        geometry.validate();
-        PlanBuilder {
-            itlb: SetAssocCache::tlb(geometry.itlb),
-            dtlb: SetAssocCache::tlb(geometry.dtlb),
-            l1i_shift: geometry.l1i.line_bytes.trailing_zeros(),
-            l1d_shift: geometry.l1d.line_bytes.trailing_zeros(),
-            l2_shift: geometry.l2.line_bytes.trailing_zeros(),
-            last_line: [None; 2],
-            last_page: [NO_PAGE; 2],
-            stats: HashMap::new(),
-            rows: 0,
-            last_stat: None,
-            plan: BatchPlan::default(),
-        }
-    }
-
-    /// Plans one batch: the same walk as [`MemoryHierarchy::on_batch`],
-    /// with each L1/L2 probe recorded instead of performed. Must see
-    /// every batch of the stream, in order.
-    pub fn plan(&mut self, batch: &[Reference]) -> &BatchPlan {
-        self.plan.new_pairs.clear();
-        self.plan.adds.clear();
-        self.plan.walks.clear();
-        self.plan.ops.clear();
-        self.plan.rows_before = self.rows;
-        for r in batch {
-            if r.words == 0 {
-                continue;
-            }
-            let instr = r.kind.is_instr();
-            let side = usize::from(!instr);
-            let (shift, tlb, tlb_level, l1_level) = if instr {
-                (self.l1i_shift, &mut self.itlb, Level::Itlb, Level::L1i)
-            } else {
-                (self.l1d_shift, &mut self.dtlb, Level::Dtlb, Level::L1d)
-            };
-            let row = match self.last_stat {
-                Some((pid, region, idx)) if pid == r.pid && region == r.region => idx,
-                _ => {
-                    let next = self.rows;
-                    let idx = *self.stats.entry((r.pid, r.region)).or_insert(next);
-                    if idx == next {
-                        self.rows += 1;
-                        self.plan.new_pairs.push((r.pid, r.region));
-                    }
-                    self.last_stat = Some((r.pid, r.region, idx));
-                    idx
-                }
-            } as u32;
-            let first_line = r.addr >> shift;
-            let last_line = (r.addr + r.bytes() - 1) >> shift;
-            if first_line == last_line && self.last_line[side] == Some(first_line) {
-                // Memo fast path — all hits in every cell: the line was
-                // each cell's most recent touch on this side, so it is
-                // resident and MRU regardless of L1 size or ways.
-                self.plan.add(row, tlb_level, 1, 0);
-                self.plan.add(row, l1_level, r.words, 0);
-                continue;
-            }
-            let mut tlb_hits = 0u64;
-            let mut tlb_misses = 0u64;
-            let ops_start = self.plan.ops.len();
-            let page_shift = tlb.line_shift() - shift;
-            let mut last_page = self.last_page[side];
-            let mut addr = r.addr;
-            let end = r.addr + r.bytes();
-            let mut line = first_line;
-            while line <= last_line {
-                let page = line >> page_shift;
-                let run_last = last_line.min(((page + 1) << page_shift) - 1);
-                if page == last_page {
-                    tlb_hits += run_last - line + 1;
-                } else {
-                    if tlb.access_line(page) {
-                        tlb_hits += 1;
-                    } else {
-                        tlb_misses += 1;
-                    }
-                    tlb_hits += run_last - line;
-                    last_page = page;
-                }
-                while line <= run_last {
-                    let line_end = (line + 1) << shift;
-                    let words_here = (end.min(line_end) - addr) >> 2;
-                    self.plan.ops.push(PlanOp {
-                        l1_line: line,
-                        l2_line: addr >> self.l2_shift,
-                        words: words_here,
-                    });
-                    addr = line_end;
-                    line += 1;
-                }
-            }
-            self.last_line[side] = Some(last_line);
-            self.last_page[side] = last_page;
-            self.plan.add(row, tlb_level, tlb_hits, tlb_misses);
-            self.plan.walks.push(PlanWalk {
-                row,
-                instr,
-                ops_start: ops_start as u32,
-                ops_len: (self.plan.ops.len() - ops_start) as u32,
-            });
-        }
-        &self.plan
-    }
-}
-
-impl MemoryHierarchy {
-    /// Replays one planned batch through this hierarchy's private L1s
-    /// and L2 — the per-cell half of the sweep walk, byte-identical in
-    /// effect to feeding the same batch through
-    /// [`ReferenceSink::on_batch`]. The hierarchy must share the plan
-    /// builder's geometry signature and must be driven exclusively by
-    /// plans of the same builder, from cold, in stream order.
-    pub fn apply_plan(&mut self, plan: &BatchPlan) {
-        debug_assert_eq!(
-            self.stat_rows.len(),
-            plan.rows_before,
-            "hierarchy fed a plan from a different stream position"
-        );
-        for &pair in &plan.new_pairs {
-            let idx = self.stat_rows.len();
-            self.stats.insert(pair, idx);
-            self.stat_rows.push([LevelStats::default(); 5]);
-        }
-        for add in &plan.adds {
-            let level = usize::from(add.level);
-            let entry = &mut self.stat_rows[add.row as usize][level];
-            entry.hits += add.hits;
-            entry.misses += add.misses;
-            self.totals[level].hits += add.hits;
-            self.totals[level].misses += add.misses;
-        }
-        for walk in &plan.walks {
-            let (l1, li) = if walk.instr {
-                (&mut self.l1i, Level::L1i.index())
-            } else {
-                (&mut self.l1d, Level::L1d.index())
-            };
-            let mut l1_hits = 0u64;
-            let mut l1_misses = 0u64;
-            let mut l2_hits = 0u64;
-            let mut l2_misses = 0u64;
-            let ops = &plan.ops[walk.ops_start as usize..(walk.ops_start + walk.ops_len) as usize];
-            for op in ops {
-                if l1.access_line(op.l1_line) {
-                    l1_hits += op.words;
-                } else {
-                    l1_misses += 1;
-                    l1_hits += op.words - 1;
-                    if self.l2.access_line(op.l2_line) {
-                        l2_hits += 1;
-                    } else {
-                        l2_misses += 1;
-                    }
-                }
-            }
-            let entry = &mut self.stat_rows[walk.row as usize];
-            entry[li].hits += l1_hits;
-            entry[li].misses += l1_misses;
-            self.totals[li].hits += l1_hits;
-            self.totals[li].misses += l1_misses;
-            if l1_misses > 0 {
-                let l2 = Level::L2.index();
-                entry[l2].hits += l2_hits;
-                entry[l2].misses += l2_misses;
-                self.totals[l2].hits += l2_hits;
-                self.totals[l2].misses += l2_misses;
-            }
-        }
+        let rows = self
+            .stats
+            .iter()
+            .map(|(&pair, &row)| (pair, self.stat_rows[row]));
+        CacheReport::from_rows(benchmark, self.geometry.name, dir, rows, self.totals)
     }
 }
 
@@ -698,118 +385,6 @@ mod tests {
                 .collect()
         }
         assert_eq!(run(), run());
-    }
-
-    /// Plan-driven hierarchies must be observationally identical to
-    /// stream-driven ones: same counters, same rows, same report — for
-    /// any mix of L1 capacities and associativities sharing the plan
-    /// signature, over a random batched stream.
-    #[test]
-    fn apply_plan_matches_direct_walk_for_shared_signature() {
-        use crate::geometry::{CacheGeometry, TlbGeometry};
-        let base = HierarchyGeometry::tiny();
-        let l1 = |kib: u32, ways: u32| CacheGeometry {
-            sets: kib * 1024 / (ways * base.l1i.line_bytes),
-            ways,
-            line_bytes: base.l1i.line_bytes,
-        };
-        // Three cells: tiny itself plus two that differ only in L1
-        // capacity/ways (same line sizes and TLB shapes).
-        let cells = [
-            base,
-            HierarchyGeometry {
-                l1i: l1(4, 2),
-                l1d: l1(4, 2),
-                ..base
-            },
-            HierarchyGeometry {
-                l1i: l1(8, 4),
-                l1d: l1(8, 4),
-                itlb: TlbGeometry {
-                    entries: base.itlb.entries,
-                    page_bytes: base.itlb.page_bytes,
-                },
-                ..base
-            },
-        ];
-        assert!(cells
-            .iter()
-            .all(|c| c.plan_signature() == base.plan_signature()));
-
-        let mut builder = PlanBuilder::new(base);
-        let mut planned: Vec<MemoryHierarchy> =
-            cells.iter().map(|&c| MemoryHierarchy::new(c)).collect();
-        let mut direct: Vec<MemoryHierarchy> =
-            cells.iter().map(|&c| MemoryHierarchy::new(c)).collect();
-
-        let mut t = Tracer::new();
-        let pid = t.register_process("p");
-        let tid = t.register_thread(pid, "t");
-        let regions = [t.intern_region("a"), t.intern_region("b")];
-        let mut rng = agave_trace::XorShift64::new(0xF00D);
-        let mut batch = Vec::new();
-        let collect = Rc::new(RefCell::new(Vec::<Reference>::new()));
-        struct Grab(Rc<RefCell<Vec<Reference>>>);
-        impl ReferenceSink for Grab {
-            fn on_reference(&mut self, r: &Reference) {
-                self.0.borrow_mut().push(*r);
-            }
-        }
-        t.add_sink(Rc::new(RefCell::new(Grab(collect.clone()))) as SharedSink);
-        for step in 0..4000u64 {
-            let kind = match step % 4 {
-                0 => RefKind::InstrFetch,
-                1 => RefKind::DataRead,
-                _ => RefKind::DataWrite,
-            };
-            let region = regions[(step % 2) as usize];
-            // Mix tight same-line runs (memo path), multi-line blocks,
-            // and page-crossing jumps.
-            // Word-aligned, like the simulator's per-word charges.
-            let addr = match rng.below(8) {
-                0 => rng.next_u64() >> 20,
-                1..=3 => 0x1000 + rng.below(64),
-                _ => 0x4_0000 + rng.below(16 * 1024),
-            } & !3;
-            t.charge_at(pid, tid, region, kind, addr, 1 + rng.below(40));
-        }
-        t.flush_sinks();
-        for r in collect.borrow().iter() {
-            batch.push(*r);
-            if batch.len() == 256 {
-                let plan = builder.plan(&batch);
-                for h in &mut planned {
-                    h.apply_plan(plan);
-                }
-                for h in &mut direct {
-                    h.on_batch(&batch);
-                }
-                batch.clear();
-            }
-        }
-        let plan = builder.plan(&batch);
-        for h in &mut planned {
-            h.apply_plan(plan);
-        }
-        for h in &mut direct {
-            h.on_batch(&batch);
-        }
-
-        let dir = t.name_directory();
-        for (p, d) in planned.iter().zip(&direct) {
-            for level in Level::ALL {
-                assert_eq!(
-                    (p.totals(level).hits, p.totals(level).misses),
-                    (d.totals(level).hits, d.totals(level).misses),
-                    "{level:?} diverged for {}",
-                    p.geometry().name
-                );
-            }
-            assert_eq!(p.tracked_pairs(), d.tracked_pairs());
-            let (pr, dr) = (p.report("x", &dir), d.report("x", &dir));
-            assert_eq!(pr, dr);
-            assert_eq!(pr.to_json(), dr.to_json());
-        }
     }
 
     #[test]

@@ -39,10 +39,13 @@ mod geometry;
 mod hierarchy;
 mod model;
 mod report;
+mod stack;
 
 pub use geometry::{
     format_size, parse_size, CacheGeometry, GeometryError, HierarchyGeometry, TlbGeometry,
+    MODEL_BUDGET_BYTES,
 };
-pub use hierarchy::{BatchPlan, Level, MemoryHierarchy, PlanBuilder};
+pub use hierarchy::{Level, MemoryHierarchy};
 pub use model::SetAssocCache;
 pub use report::{CacheReport, LevelStats, RegionRow};
+pub use stack::{SweepFront, SweepShape};

@@ -2,7 +2,8 @@
 //! breakdowns, text rendering and JSON export.
 
 use crate::hierarchy::Level;
-use agave_trace::json;
+use agave_trace::{json, NameDirectory, NameId, Pid};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Hit/miss counters for one level of the hierarchy.
@@ -102,6 +103,49 @@ pub struct CacheReport {
 }
 
 impl CacheReport {
+    /// Builds a report from per-(process, region) counter rows,
+    /// resolving ids through `dir`.
+    ///
+    /// Rows are aggregated per region name (processes summed), sorted by
+    /// total L1 accesses descending; per-process totals ride along.
+    pub(crate) fn from_rows(
+        benchmark: &str,
+        preset: &str,
+        dir: &NameDirectory,
+        rows: impl Iterator<Item = ((Pid, NameId), [LevelStats; 5])>,
+        totals: [LevelStats; 5],
+    ) -> Self {
+        let mut by_region: BTreeMap<String, [LevelStats; 5]> = BTreeMap::new();
+        let mut by_process: BTreeMap<String, [LevelStats; 5]> = BTreeMap::new();
+        for ((pid, region), stats) in rows {
+            let region_name = dir.region(region).to_owned();
+            let proc_name = dir.process(pid).to_owned();
+            for (level, s) in Level::ALL.iter().zip(stats) {
+                by_region.entry(region_name.clone()).or_default()[level.index()].absorb(s);
+                by_process.entry(proc_name.clone()).or_default()[level.index()].absorb(s);
+            }
+        }
+        let ranked = |rows: BTreeMap<String, [LevelStats; 5]>| {
+            let mut rows: Vec<RegionRow> = rows
+                .into_iter()
+                .map(|(name, levels)| RegionRow { name, levels })
+                .collect();
+            rows.sort_by(|a, b| {
+                b.l1_accesses()
+                    .cmp(&a.l1_accesses())
+                    .then_with(|| a.name.cmp(&b.name))
+            });
+            rows
+        };
+        CacheReport {
+            benchmark: benchmark.to_owned(),
+            preset: preset.to_owned(),
+            totals,
+            regions: ranked(by_region),
+            processes: ranked(by_process),
+        }
+    }
+
     /// Whole-run stats for one level.
     pub fn total(&self, level: Level) -> LevelStats {
         self.totals[level.index()]

@@ -4,8 +4,8 @@
 //! [`crate::TelemetrySnapshot::to_json`], rebuilds the span tree
 //! (children sorted by explicit `order`, then start time, then id — so
 //! the listing is deterministic even though work-stealing completion
-//! order is not), and renders it alongside the busiest histograms and
-//! counters.
+//! order is not), and renders it alongside the busiest histograms, the
+//! counters and the gauges.
 
 use crate::format::{fmt_count, fmt_ns, fmt_rate, refs_per_sec};
 use crate::metrics::Histogram;
@@ -169,11 +169,12 @@ fn render_histograms(doc: &Value, top: usize, out: &mut String) {
     }
 }
 
-fn render_counters(doc: &Value, out: &mut String) {
-    let Some(counters) = doc.get("counters").and_then(Value::as_object) else {
+/// Renders the non-zero entries of the `counters` or `gauges` object.
+fn render_values(doc: &Value, key: &str, out: &mut String) {
+    let Some(values) = doc.get(key).and_then(Value::as_object) else {
         return;
     };
-    let mut rows: Vec<(&String, u64)> = counters
+    let mut rows: Vec<(&String, u64)> = values
         .iter()
         .filter_map(|(name, v)| v.as_u64().map(|v| (name, v)))
         .filter(|(_, v)| *v > 0)
@@ -182,14 +183,14 @@ fn render_counters(doc: &Value, out: &mut String) {
         return;
     }
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    out.push_str("\ncounters\n");
+    out.push_str(&format!("\n{key}\n"));
     for (name, v) in rows {
         out.push_str(&format!("{:<28} {:>14}\n", name, v));
     }
 }
 
 /// Renders a parsed telemetry document: span tree, top histograms,
-/// non-zero counters. Errors on schema mismatch.
+/// non-zero counters and gauges. Errors on schema mismatch.
 pub fn render(doc: &Value) -> Result<String, String> {
     let version = doc
         .get("schema_version")
@@ -204,7 +205,8 @@ pub fn render(doc: &Value) -> Result<String, String> {
     let mut out = String::new();
     render_span_tree(&span_rows(doc), &mut out);
     render_histograms(doc, 5, &mut out);
-    render_counters(doc, &mut out);
+    render_values(doc, "counters", &mut out);
+    render_values(doc, "gauges", &mut out);
     Ok(out)
 }
 
@@ -239,7 +241,7 @@ mod tests {
         let snap = TelemetrySnapshot {
             metrics: MetricsSnapshot {
                 counters: vec![("trace.sink_batches".into(), 41)],
-                gauges: vec![],
+                gauges: vec![("sweep.shapes".into(), 14)],
                 histograms: vec![HistogramData {
                     name: "trace.batch_blocks".into(),
                     count: 41,
@@ -262,6 +264,7 @@ mod tests {
         assert!(suite_pos < a_pos && a_pos < b_pos, "tree order:\n{text}");
         assert!(text.contains("trace.batch_blocks"), "{text}");
         assert!(text.contains("trace.sink_batches"), "{text}");
+        assert!(text.contains("gauges\nsweep.shapes"), "{text}");
         assert!(text.contains("5.0 ms"), "{text}");
     }
 

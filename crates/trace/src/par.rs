@@ -63,9 +63,46 @@ where
         .collect()
 }
 
+/// Runs `f` on every item of `items` on up to `jobs` scoped threads,
+/// for callers whose per-item work mutates the item in place.
+///
+/// Workers claim items one at a time from a shared iterator, so each
+/// item is mutated by exactly one worker and slow items balance like
+/// [`parallel_map`]'s. `jobs` resolves as there; one job runs inline.
+pub fn parallel_for_each_mut<T, F>(items: &mut [T], jobs: usize, f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let jobs = effective_jobs(jobs).min(items.len());
+    if jobs <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let cursor = Mutex::new(items.iter_mut());
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let next = cursor.lock().expect("work cursor poisoned").next();
+                let Some(item) = next else { break };
+                f(item);
+            });
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_each_mut_touches_every_item_once_for_any_job_count() {
+        for jobs in [0, 1, 2, 3, 64] {
+            let mut items: Vec<usize> = (0..17).collect();
+            parallel_for_each_mut(&mut items, jobs, |i| *i *= 2);
+            assert_eq!(items, (0..17).map(|i| i * 2).collect::<Vec<_>>());
+        }
+    }
 
     #[test]
     fn preserves_index_order_for_any_job_count() {

@@ -173,6 +173,30 @@ fn error_requests_are_filterable_from_the_flight_window() {
 }
 
 #[test]
+fn over_budget_geometries_get_err_and_the_daemon_keeps_serving() {
+    serialized(|| {
+        with_warm_daemon("budget", |client| {
+            let many = format!("size={}:assoc=1:line=32", vec!["8k"; 300].join(","));
+            for grid in ["size=4096m:assoc=1:line=4", many.as_str()] {
+                let err = client.sweep("sess", grid).unwrap_err();
+                assert!(
+                    matches!(&err, ClientError::Server(m) if m.contains("MODEL_BUDGET_BYTES")),
+                    "{err:?}"
+                );
+            }
+            let huge = Analysis::Cache("size=4096m,assoc=1,line=4".to_owned());
+            let err = client.analyze("sess", &huge).unwrap_err();
+            assert!(
+                matches!(&err, ClientError::Server(m) if m.contains("MODEL_BUDGET_BYTES")),
+                "{err:?}"
+            );
+            client.ping().unwrap();
+            client.analyze("sess", &Analysis::Summary).unwrap();
+        });
+    });
+}
+
+#[test]
 fn latency_and_queue_wait_histograms_populate_from_traffic() {
     serialized(|| {
         with_warm_daemon("hist", |client| {
