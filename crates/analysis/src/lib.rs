@@ -306,11 +306,35 @@ pub(crate) mod fixture {
     /// Records a small deterministic two-region stream to
     /// `<tmp>/agave-analysis-test-<pid>-<stem>.agtrace`.
     pub fn record(stem: &str) -> PathBuf {
-        let path = std::env::temp_dir().join(format!(
+        let path = temp_path(stem);
+        record_at(&path, stem);
+        path
+    }
+
+    fn temp_path(stem: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
             "agave-analysis-test-{}-{stem}.agtrace",
             std::process::id()
-        ));
-        record_at(&path, stem);
+        ))
+    }
+
+    /// Records one data read at byte address 30, straddling a 32-byte
+    /// line — a block no cache walk can account for.
+    pub fn record_unaligned(stem: &str) -> PathBuf {
+        let path = temp_path(stem);
+        let mut t = Tracer::new();
+        let pid = t.register_process("app_process");
+        let tid = t.register_thread(pid, "main");
+        let heap = t.intern_region("[heap]");
+        let baseline = t.counter_snapshot();
+        let writer = Rc::new(RefCell::new(TraceWriter::create(&path, stem).unwrap()));
+        t.add_sink(writer.clone() as SharedSink);
+        t.charge_at(pid, tid, heap, RefKind::DataRead, 30, 1);
+        t.flush_sinks();
+        writer
+            .borrow_mut()
+            .finish(&t.name_directory(), &baseline)
+            .unwrap();
         path
     }
 
@@ -409,6 +433,16 @@ mod tests {
         let path = fixture::record("cell");
         let via_spec = analyze_path(&path, "cache:size=1k,assoc=2,line=16", 1).unwrap();
         assert!(via_spec.contains(r#""preset":"size=1k,assoc=2,line=16""#));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unaligned_records_are_errors_not_wrapped_counts() {
+        let path = fixture::record_unaligned("unaligned");
+        for spec in ["cache:cortex-a9", "summary"] {
+            let err = analyze_path(&path, spec, 1).unwrap_err();
+            assert!(err.contains("not word-aligned"), "{spec}: {err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

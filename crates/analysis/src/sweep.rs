@@ -560,19 +560,26 @@ mod tests {
         let kinds = [RefKind::InstrFetch, RefKind::DataRead, RefKind::DataWrite];
         let mut rng = XorShift64::new(0xF00D);
         let stream: Vec<Reference> = (0..6000u64)
-            .map(|i| Reference {
-                pid: pids[(i / 7 % 2) as usize],
-                tid,
-                region: regions[(i / 3 % 3) as usize],
-                kind: kinds[rng.below(3) as usize],
-                // Same-line runs (memo path), multi-line blocks and
-                // page-crossing jumps; word-aligned like the simulator.
-                addr: match rng.below(8) {
-                    0 => rng.next_u64() >> 20,
-                    1..=3 => 0x1000 + rng.below(64),
+            .map(|i| {
+                let kind = kinds[rng.below(3) as usize];
+                let words = rng.below(40);
+                // Same-line runs (memo path), multi-line blocks,
+                // page-crossing jumps and blocks ending in the top line
+                // of the address space; word-aligned like the simulator.
+                let addr = match rng.below(64) {
+                    0 => u64::MAX - 3 - 4 * words,
+                    1..=8 => rng.next_u64() >> 20,
+                    9..=32 => 0x1000 + rng.below(64),
                     _ => 0x4_0000 + rng.below(16 * 1024),
-                } & !3,
-                words: rng.below(40),
+                } & !3;
+                Reference {
+                    pid: pids[(i / 7 % 2) as usize],
+                    tid,
+                    region: regions[(i / 3 % 3) as usize],
+                    kind,
+                    addr,
+                    words,
+                }
             })
             .collect();
         let mut sweep = FanoutSink::new(&cells, 3);

@@ -143,14 +143,14 @@ impl SweepFront {
             };
             let shift = self.l1_shift[side];
             let (first_line, last_line) = (r.addr >> shift, (r.addr + r.bytes() - 1) >> shift);
-            let (mut tlb, mut words) = (LevelStats::default(), 0);
+            let mut tlb = LevelStats::default();
             if first_line == last_line && self.last_line[side] == Some(first_line) {
                 // Memo path: the line tops its set's stack in every shape,
                 // and touching a stack's top changes nothing — all hits.
-                (tlb.hits, words) = (1, r.words);
+                tlb.hits = 1;
             } else {
                 let page_shift = self.tlbs[side].line_shift() - shift;
-                let (mut addr, end) = (r.addr, r.addr + r.bytes());
+                let mut addr = r.addr;
                 let mut line = first_line;
                 while line <= last_line {
                     // One TLB lookup per page run, as in the direct walk.
@@ -164,18 +164,18 @@ impl SweepFront {
                         self.last_page[side] = page;
                     }
                     for l in line..=run_last {
-                        let line_end = (l + 1) << shift;
-                        words += (end.min(line_end) - addr) >> 2;
                         self.probes
                             .push((l, addr >> self.l2_shift, row as u32, side as u8));
-                        addr = line_end;
+                        addr = (l + 1) << shift;
                     }
                     line = run_last + 1;
                 }
                 self.last_line[side] = Some(last_line);
             }
+            // Every word of the word-aligned block counts as a hit here;
+            // each cell takes one back per line it misses.
             for counts in [&mut self.rows[row], &mut self.totals] {
-                counts[side].hits += words;
+                counts[side].hits += r.words;
                 counts[Level::Itlb.index() + side].absorb(tlb);
             }
         }

@@ -389,6 +389,54 @@ mod tests {
         );
     }
 
+    /// A trace whose one block is `(addr, words)`, after a clean one.
+    fn one_block_trace(addr: u64, words: u64) -> Vec<u8> {
+        let mut t = agave_trace::Tracer::new();
+        let pid = t.register_process("app_process");
+        let tid = t.register_thread(pid, "main");
+        let region = t.intern_region("[heap]");
+        let mut w = crate::TraceWriter::new(Vec::new(), "blocks").unwrap();
+        let block = |addr, words| Reference {
+            pid,
+            tid,
+            region,
+            kind: agave_trace::RefKind::DataRead,
+            addr,
+            words,
+        };
+        w.append(&block(0x1000, 8));
+        w.append(&block(addr, words));
+        w.finish(&t.name_directory(), &t.counter_snapshot())
+            .unwrap();
+        w.into_output()
+    }
+
+    #[test]
+    fn unwalkable_records_are_corrupt_for_both_readers() {
+        // Unaligned (straddles a 32-byte line), and a span ending past
+        // `u64::MAX`; a word-aligned span ending just below it is fine.
+        for (addr, words) in [(30, 1), (u64::MAX - 15, 4)] {
+            let bytes = one_block_trace(addr, words);
+            for jobs in [1, 2] {
+                let buf = TraceBuffer::from_vec(bytes.clone()).unwrap();
+                let err = buf.replay(&[], jobs).unwrap_err();
+                assert!(
+                    matches!(&err, TraceError::Corrupt { .. })
+                        && err.to_string().contains("not word-aligned"),
+                    "{addr:#x}: {err}"
+                );
+            }
+            let streaming = crate::TraceReader::new(std::io::Cursor::new(&bytes)).unwrap();
+            let err = streaming.replay(&[]).unwrap_err();
+            assert!(
+                matches!(err, TraceError::Corrupt { .. }),
+                "{addr:#x}: {err}"
+            );
+        }
+        let edge = TraceBuffer::from_vec(one_block_trace(u64::MAX - 19, 4)).unwrap();
+        assert_eq!(edge.replay(&[], 1).unwrap().records, 2);
+    }
+
     #[test]
     fn truncation_is_rejected_at_scan_time() {
         let (bytes, _) = synthetic();

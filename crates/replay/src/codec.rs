@@ -473,6 +473,17 @@ pub struct DecodeTotals {
     pub max_tid: u64,
     /// Highest region id observed (0 when the chunk is empty).
     pub max_region: u64,
+    /// Records no cache walk can account for: an address that is not
+    /// word-aligned, or a byte span (`addr + 4 × words`) past `u64::MAX`.
+    /// The codec round-trips them; the trace readers reject the chunk.
+    pub unwalkable: u64,
+}
+
+/// Whether no cache walk can account for `r` (see
+/// [`DecodeTotals::unwalkable`]).
+#[inline]
+pub(crate) fn unwalkable(r: &Reference) -> bool {
+    (r.addr & 3 != 0) | (r.words > !r.addr >> 2)
 }
 
 /// Decodes exactly `count` records from `payload` starting at `*pos`,
@@ -511,6 +522,7 @@ pub fn decode_records(
             coder.decode(payload, pos)?
         };
         totals.words = totals.words.wrapping_add(r.words);
+        totals.unwalkable += u64::from(unwalkable(&r));
         out.push(r);
     }
     totals.max_tid = u64::from(coder.tid);

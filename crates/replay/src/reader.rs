@@ -8,7 +8,7 @@
 //! accumulators, and the summary rebuilder all consume a replayed file
 //! exactly as they consume a live run.
 
-use crate::codec::{decode_records, get_varint, Checksum, DecodeTotals};
+use crate::codec::{decode_records, get_varint, unwalkable, Checksum, DecodeTotals};
 use crate::format::{TraceError, MAGIC, MAX_CHUNK_BYTES, TAG_DIRECTORY, TAG_RECORDS, VERSION};
 use agave_trace::{
     CounterSnapshot, NameDirectory, NameId, Pid, Reference, SharedSink, SnapshotEntry,
@@ -321,10 +321,19 @@ pub(crate) fn decode_record_chunk(
     if count > payload.len() as u64 {
         return Err(corrupt("record count exceeds chunk size"));
     }
+    let first = out.len();
     let totals =
         decode_records(payload, &mut pos, count, out).ok_or_else(|| corrupt("malformed record"))?;
     if pos != payload.len() {
         return Err(corrupt("record chunk has leftover bytes"));
+    }
+    if totals.unwalkable > 0 {
+        let i = out[first..].iter().position(unwalkable).unwrap_or_default();
+        let r = out[first + i];
+        return Err(corrupt(&format!(
+            "record {i} at {:#x} ({} words) is not word-aligned or overruns the address space",
+            r.addr, r.words
+        )));
     }
     Ok(totals)
 }

@@ -197,6 +197,44 @@ fn over_budget_geometries_get_err_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn unaligned_traces_get_err_and_the_daemon_keeps_serving() {
+    serialized(|| {
+        with_warm_daemon("unaligned", |client| {
+            // One data read at byte 30 straddles a 32-byte line: upload
+            // admission only checksums, so decode must refuse it.
+            let dir = temp_dir("unaligned-trace");
+            let path = dir.join("unaligned.agtrace");
+            let mut t = Tracer::new();
+            let pid = t.register_process("app_process");
+            let tid = t.register_thread(pid, "main");
+            let heap = t.intern_region("[heap]");
+            let baseline = t.counter_snapshot();
+            let writer = Rc::new(RefCell::new(
+                TraceWriter::create(&path, "unaligned").unwrap(),
+            ));
+            t.add_sink(writer.clone() as SharedSink);
+            t.charge_at(pid, tid, heap, RefKind::DataRead, 30, 1);
+            t.flush_sinks();
+            writer
+                .borrow_mut()
+                .finish(&t.name_directory(), &baseline)
+                .unwrap();
+            client.upload("bad", &path).unwrap();
+            for analysis in [Analysis::Cache("cortex-a9".to_owned()), Analysis::Summary] {
+                let err = client.analyze("bad", &analysis).unwrap_err();
+                assert!(
+                    matches!(&err, ClientError::Server(m) if m.contains("not word-aligned")),
+                    "{err:?}"
+                );
+            }
+            client.ping().unwrap();
+            client.analyze("sess", &Analysis::Summary).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+        });
+    });
+}
+
+#[test]
 fn latency_and_queue_wait_histograms_populate_from_traffic() {
     serialized(|| {
         with_warm_daemon("hist", |client| {

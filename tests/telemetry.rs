@@ -170,3 +170,44 @@ fn disabled_telemetry_keeps_suite_json_byte_identical() {
         "engine.run_wall_ns histogram sampled per run"
     );
 }
+
+#[test]
+fn cache_walk_counts_memo_skipped_lines_in_stats() {
+    use agave_cache::{HierarchyGeometry, MemoryHierarchy};
+    use agave_trace::{RefKind, Reference, ReferenceSink, Tracer};
+    let _guard = LOCK.lock().unwrap();
+    let mut t = Tracer::new();
+    let pid = t.register_process("p");
+    let tid = t.register_thread(pid, "t");
+    let region = t.intern_region("r");
+    // Four 32-byte lines, walked once and then re-read twice whole and
+    // once from its last line: the memo skips 4 + 4 + 1 lines.
+    let block = Reference {
+        pid,
+        tid,
+        region,
+        kind: RefKind::DataRead,
+        addr: 0x1000,
+        words: 32,
+    };
+    let tail = Reference {
+        addr: 0x1060,
+        words: 8,
+        ..block
+    };
+    let memo_lines = || {
+        agave_telemetry::metrics::scrape()
+            .counters
+            .into_iter()
+            .find(|(n, _)| n == "cache.memo_lines")
+            .map_or(0, |(_, v)| v)
+    };
+    let before = memo_lines();
+    let mut h = MemoryHierarchy::new(HierarchyGeometry::cortex_a9());
+    agave_telemetry::set_enabled(true);
+    h.on_batch(&[block, block, block, tail]);
+    agave_telemetry::set_enabled(false);
+    assert_eq!(memo_lines() - before, 9);
+    let text = agave_telemetry::stats::render_str(&agave_telemetry::capture().to_json()).unwrap();
+    assert!(text.contains("cache.memo_lines"), "{text}");
+}
